@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	log.SetPrefix("kodan-mission: ")
 	appIdx := flag.Int("app", 7, "application index (1-7)")
@@ -57,11 +59,11 @@ func main() {
 	cfg.TileRes = 16
 	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
 	fmt.Println("running the one-time transformation...")
-	sys, err := kodan.NewSystem(cfg)
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := sys.Transform(*appIdx)
+	app, err := sys.TransformCtx(ctx, *appIdx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,11 +30,11 @@
 //
 // -debug-addr serves the Go diagnostics surface on a second listener —
 // /debug/pprof/* (CPU, heap, goroutine, block profiles), /debug/vars
-// (expvar, including the server's full metrics snapshot under
-// "kodan.metrics"), and the flight-recorder surface: /debug/dash (live
-// ops dashboard, self-contained HTML over SSE), /debug/dash/stream (the
-// SSE sample feed), /debug/recorder (JSON export of the retained
-// time-series window), and /debug/slo (the SLO engine's burn-rate report:
+// (expvar, including the server's registry snapshot — the /metrics
+// document — under "kodan.metrics"), and the flight-recorder surface:
+// /debug/dash (live ops dashboard, self-contained HTML over SSE),
+// /debug/dash/stream (the SSE sample feed), /debug/recorder (JSON export
+// of the retained time-series window), and /debug/slo (the SLO engine's burn-rate report:
 // per-objective ok/warn/page with fast/slow-window evidence). The debug
 // port binds synchronously at startup and
 // a bind failure is a fatal, clearly logged error — not a background
@@ -163,10 +163,10 @@ func main() {
 			os.Exit(1)
 		}
 		// net/http/pprof and expvar both register on DefaultServeMux;
-		// publishing the snapshot here folds the full /metrics document
-		// (request counters, cache, pool, telemetry registry) into
-		// /debug/vars. The flight-recorder surface rides the same mux.
-		expvar.Publish("kodan.metrics", expvar.Func(func() interface{} { return srv.Metrics() }))
+		// publishing the registry snapshot here folds the /metrics
+		// document into /debug/vars. The flight-recorder surface rides
+		// the same mux.
+		expvar.Publish("kodan.metrics", expvar.Func(func() interface{} { return srv.Registry().Snapshot() }))
 		http.Handle("/debug/dash", rec.PageHandler("kodan-server ops", "/debug/dash/stream"))
 		http.Handle("/debug/dash/stream", rec.StreamHandler())
 		http.HandleFunc("/debug/recorder", func(w http.ResponseWriter, r *http.Request) {
@@ -185,11 +185,10 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe(*addr) }()
-	m := srv.Metrics()
 	logger.Info("started",
 		"addr", *addr, "seed", *seed, "workers", *workers, "queue", *queue,
-		"timeout", timeout.String(), "cache_entries", m.Cache.Entries,
-		"cache_shards", m.Cache.Shards, "cache_capacity", m.Cache.Capacity,
+		"timeout", timeout.String(), "cache_shards", *shards,
+		"cache_entries", *cacheEntries,
 		"batch_window", batchWindow.String(), "tenant_rate", *tenantRate,
 		"debug_addr", *debugAddr, "sample", sample.String())
 

@@ -66,7 +66,8 @@ func main() {
 	cfg := kodan.DefaultTransformConfig(*seed)
 	cfg.Frames = *frames
 	fmt.Printf("rendering the representative dataset and generating contexts (%d frames)...\n", cfg.Frames)
-	sys, err := kodan.NewSystem(cfg)
+	ctx := context.Background()
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +80,6 @@ func main() {
 	if *quantized {
 		variant = "int8 quantized"
 	}
-	ctx := context.Background()
 	var tracer *telemetry.Tracer
 	if *traceFile != "" {
 		tracer = telemetry.NewTracer(0)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -24,6 +25,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 	mission, err := kodan.LandsatMission(epoch)
@@ -35,11 +37,11 @@ func main() {
 	cfg.Frames = 60
 	cfg.TileRes = 16
 	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystem(cfg)
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := sys.Transform(7) // the heaviest application
+	app, err := sys.TransformCtx(ctx, 7) // the heaviest application
 	if err != nil {
 		log.Fatal(err)
 	}

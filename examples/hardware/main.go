@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 	mission, err := kodan.LandsatMission(epoch)
@@ -30,11 +32,11 @@ func main() {
 	cfg.Frames = 60
 	cfg.TileRes = 16
 	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystem(cfg)
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := sys.Transform(5) // resnet50-upernet
+	app, err := sys.TransformCtx(ctx, 5) // resnet50-upernet
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	epoch := time.Date(2023, 3, 25, 0, 0, 0, 0, time.UTC)
 
@@ -29,11 +31,11 @@ func main() {
 	cfg.Frames = 60
 	cfg.TileRes = 16
 	cfg.Tilings = []kodan.Tiling{{PerSide: 3}, {PerSide: 11}}
-	sys, err := kodan.NewSystem(cfg)
+	sys, err := kodan.NewSystemCtx(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := sys.Transform(4)
+	app, err := sys.TransformCtx(ctx, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -142,8 +142,12 @@ type TenantMetrics struct {
 	scope      *telemetry.Scope
 	maxTenants int
 
-	mu      sync.Mutex
-	tenants map[string]*tenantCounters
+	// known maps tenant names to their counters. Lookups of a known
+	// tenant are lock-free; mu serializes creating new entries under the
+	// cardinality bound.
+	known sync.Map // string -> *tenantCounters
+	mu    sync.Mutex
+	n     int
 }
 
 type tenantCounters struct {
@@ -157,31 +161,35 @@ func NewTenantMetrics(scope *telemetry.Scope, maxTenants int) *TenantMetrics {
 	if maxTenants <= 0 {
 		maxTenants = DefaultMaxTenants
 	}
-	return &TenantMetrics{scope: scope, maxTenants: maxTenants, tenants: make(map[string]*tenantCounters)}
+	return &TenantMetrics{scope: scope, maxTenants: maxTenants}
 }
 
 // forTenant returns (creating under the cardinality bound) the tenant's
 // counters.
 func (m *TenantMetrics) forTenant(tenant string) *tenantCounters {
+	if tc, ok := m.known.Load(tenant); ok {
+		return tc.(*tenantCounters)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tc, ok := m.tenants[tenant]
-	if !ok {
-		if len(m.tenants) >= m.maxTenants {
-			tenant = OverflowTenant
-			tc = m.tenants[tenant]
-		}
-		if tc == nil {
-			ts := m.scope.Scope(tenant)
-			tc = &tenantCounters{
-				requests:   ts.Counter("requests"),
-				admitted:   ts.Counter("admitted"),
-				rejected:   ts.Counter("rejected"),
-				queueDepth: ts.Gauge("queue_depth"),
-			}
-			m.tenants[tenant] = tc
+	if tc, ok := m.known.Load(tenant); ok {
+		return tc.(*tenantCounters)
+	}
+	if m.n >= m.maxTenants {
+		tenant = OverflowTenant
+		if tc, ok := m.known.Load(tenant); ok {
+			return tc.(*tenantCounters)
 		}
 	}
+	ts := m.scope.Scope(tenant)
+	tc := &tenantCounters{
+		requests:   ts.Counter("requests"),
+		admitted:   ts.Counter("admitted"),
+		rejected:   ts.Counter("rejected"),
+		queueDepth: ts.Gauge("queue_depth"),
+	}
+	m.known.Store(tenant, tc)
+	m.n++
 	return tc
 }
 

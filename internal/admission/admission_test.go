@@ -2,6 +2,8 @@ package admission
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -116,4 +118,38 @@ func TestTenantMetricsBoundedAndCounted(t *testing.T) {
 	var nilM *TenantMetrics
 	nilM.Request("x")
 	NewTenantMetrics(nil, 0).Admitted("x")
+}
+
+// TestTenantMetricsConcurrent counts requests from many goroutines and
+// tenants at once: every request lands on exactly one counter, and no
+// more than the bound plus the overflow tenant get counters.
+func TestTenantMetricsConcurrent(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := NewTenantMetrics(reg.Scope("server.tenant"), 4)
+	const goroutines, perG = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				m.Request(fmt.Sprintf("t%d", (g+i)%10))
+			}
+		}(g)
+	}
+	wg.Wait()
+	var total int64
+	tenants := 0
+	for name, n := range reg.Snapshot().Counters {
+		if strings.HasSuffix(name, ".requests") {
+			total += n
+			tenants++
+		}
+	}
+	if total != goroutines*perG {
+		t.Errorf("counted %d requests, want %d", total, goroutines*perG)
+	}
+	if tenants > 5 {
+		t.Errorf("%d tenants got counters, want at most 4 plus overflow", tenants)
+	}
 }

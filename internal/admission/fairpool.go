@@ -219,15 +219,14 @@ func (p *FairPool) QueueDepthOf(tenant string) int {
 	return 0
 }
 
-// PoolStats is a point-in-time snapshot for the metrics endpoint. The
-// JSON shape matches the original FIFO pool's, so /metrics consumers keep
-// working; QueueDepth is now the per-tenant bound.
+// PoolStats is a point-in-time snapshot of the pool; QueueDepth is the
+// per-tenant bound.
 type PoolStats struct {
-	Workers    int   `json:"workers"`
-	QueueDepth int   `json:"queueDepth"`
-	InFlight   int   `json:"inFlight"`
-	Queued     int   `json:"queued"`
-	Rejected   int64 `json:"rejected"`
+	Workers    int
+	QueueDepth int
+	InFlight   int
+	Queued     int
+	Rejected   int64
 }
 
 // Stats snapshots the pool.

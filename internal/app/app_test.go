@@ -1,6 +1,7 @@
 package app
 
 import (
+	"context"
 	"testing"
 
 	"kodan/internal/ctxengine"
@@ -81,7 +82,10 @@ func buildTestSuite(t *testing.T, appIdx int, perSide int) (*Suite, *ctxengine.S
 	}
 	opts := DefaultTrainOptions()
 	opts.Augment = false // keep tests fast
-	suite := BuildSuite(App(appIdx), tiling.Tiling{PerSide: perSide}, train, val, ctx, opts, xrand.New(11))
+	suite, err := BuildSuiteCtx(context.Background(), App(appIdx), tiling.Tiling{PerSide: perSide}, train, val, ctx, opts, xrand.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return suite, ctx, val
 }
 

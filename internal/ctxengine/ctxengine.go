@@ -18,6 +18,7 @@
 package ctxengine
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -181,7 +182,9 @@ func Build(train *dataset.Dataset, cfg Config, rng *xrand.Rand) (*Set, error) {
 		trainCfg = DefaultConfig().EngineTrain
 	}
 	engine := nn.NewClassifier(len(xs[0]), hidden, k, rng.Split())
-	engine.Fit(xs, ys, trainCfg, rng.Split())
+	if _, err := engine.FitCtx(context.TODO(), xs, ys, trainCfg, rng.Split()); err != nil {
+		return nil, err
+	}
 
 	set := &Set{K: k, Engine: engine, mean: mean, std: std}
 

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -40,7 +41,10 @@ func buildFixture(t *testing.T) fixture {
 	}
 	opts := app.DefaultTrainOptions()
 	opts.Augment = false
-	suite := app.BuildSuite(app.App(4), tl, train, val, ctx, opts, xrand.New(11))
+	suite, err := app.BuildSuiteCtx(context.Background(), app.App(4), tl, train, val, ctx, opts, xrand.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Simple hand-built logic: downlink pure-high contexts, discard
 	// pure-low, filter the rest.

@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestAblationContextCount(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.AblationContextCount([]int{2, 6})
+	rows, err := l.AblationContextCountCtx(context.Background(), []int{2, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestAblationContextCount(t *testing.T) {
 
 func TestAblationContextSource(t *testing.T) {
 	l := testLab(t)
-	rows, err := l.AblationContextSource()
+	rows, err := l.AblationContextSourceCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

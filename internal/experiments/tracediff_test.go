@@ -33,18 +33,16 @@ func traceTransform(t *testing.T, l *Lab, quantized bool) *analyze.Trace {
 
 // TestTraceDiffAttributesQuantizedDeltaToInference is the acceptance check
 // for the diff engine against real pipeline traces: comparing a float app
-// transform (A) with an int8 quantized one (B), the recorded wall-time
-// difference must land on the nn inference phase, because quantization
-// changes only the prediction hot path — training does identical float
-// work in both runs. In this pure-Go reproduction the int8 forward pass
-// is *slower* on the host (per-layer requantization with no SIMD payoff;
-// the speedup quantization buys is in the modeled on-orbit frame time),
-// so the diff must show nn.infer losing time B-vs-A, and must label the
-// quantized attribute flip on every phase that carries it.
+// transform (A) with an int8 quantized one (B), whatever time delta the
+// diff reports must be attributable to the inference variant alone.
+// Quantization changes only the prediction hot path, so the two traces
+// must do the same work — equal nn.train and nn.infer span counts — and
+// differ in exactly one attribute, quantized, labeled on every phase that
+// carries it.
 //
-// The assertions are direction and attribution, not rank: phases like
-// nn.train run identical work in both variants, so their deltas are pure
-// host jitter and can transiently exceed the inference signal. Rank
+// The checks are deterministic on purpose. The direction of a wall-clock
+// delta (for example int8 nn.infer being slower on the host) depends on
+// host load and belongs in the benchmark trajectory, not in a test. Rank
 // ordering of the delta table is pinned by the synthetic TestCompare in
 // package analyze.
 func TestTraceDiffAttributesQuantizedDeltaToInference(t *testing.T) {
@@ -61,28 +59,30 @@ func TestTraceDiffAttributesQuantizedDeltaToInference(t *testing.T) {
 	quant := traceTransform(t, lab, true)
 	d := analyze.Compare(float, quant)
 
-	var infer *analyze.DiffRow
-	for i := range d.Rows {
-		if d.Rows[i].Name == "nn.infer" {
-			infer = &d.Rows[i]
+	rows := map[string]analyze.DiffRow{}
+	for _, r := range d.Rows {
+		rows[r.Name] = r
+	}
+	for _, phase := range []string{"nn.train", "nn.infer"} {
+		r, ok := rows[phase]
+		if !ok {
+			t.Fatalf("diff has no %s row:\n%s", phase, d.Render())
+		}
+		if r.CountA == 0 || r.CountA != r.CountB {
+			t.Errorf("%s span counts %d vs %d, want equal and nonzero (both variants do the same work)",
+				phase, r.CountA, r.CountB)
 		}
 	}
-	if infer == nil {
-		t.Fatalf("diff has no nn.infer row:\n%s", d.Render())
-	}
-	if infer.CountA != infer.CountB {
-		t.Errorf("nn.infer span counts differ: %d vs %d (variants should run the same eval passes)",
-			infer.CountA, infer.CountB)
-	}
-	if infer.Delta <= 0 {
-		t.Errorf("nn.infer delta = %v, want positive (int8 inference costs host wall time)\n%s",
-			infer.Delta, d.Render())
-	}
 
-	// The variant flip is labeled on every phase that carries the attr.
+	// quantized is the only attribute that differs, and its flip is
+	// labeled on every phase that carries it.
 	flagged := map[string]bool{}
 	for _, c := range d.AttrChanges {
-		if c.Key == "quantized" && c.A == "false" && c.B == "true" {
+		if c.Key != "quantized" {
+			t.Errorf("attribute %q differs on %s (%q vs %q); only quantized should", c.Key, c.Phase, c.A, c.B)
+			continue
+		}
+		if c.A == "false" && c.B == "true" {
 			flagged[c.Phase] = true
 		}
 	}

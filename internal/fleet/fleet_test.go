@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -54,7 +55,7 @@ func platformConfig(kodan bool) Config {
 }
 
 func TestDedicatedSplitsSatellites(t *testing.T) {
-	rep, err := Dedicated(specs(1, 4, 7), platformConfig(true))
+	rep, err := DedicatedCtx(context.Background(), specs(1, 4, 7), platformConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestDedicatedSplitsSatellites(t *testing.T) {
 func TestDedicatedUnevenSplit(t *testing.T) {
 	cfg := platformConfig(true)
 	cfg.Sats = 7
-	rep, err := Dedicated(specs(1, 4, 7), cfg)
+	rep, err := DedicatedCtx(context.Background(), specs(1, 4, 7), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestDedicatedUnevenSplit(t *testing.T) {
 }
 
 func TestSharedServesAllAppsEverywhere(t *testing.T) {
-	rep, err := Shared(specs(1, 4, 7), platformConfig(true))
+	rep, err := SharedCtx(context.Background(), specs(1, 4, 7), platformConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestKodanPlatformNearlyFree(t *testing.T) {
 	// the downlink stays saturated with dense data.
 	s := specs(1, 4, 7)
 	cfg := platformConfig(true)
-	shared, err := Shared(s, cfg)
+	shared, err := SharedCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dedicated, err := Dedicated(s, cfg)
+	dedicated, err := DedicatedCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestDirectPlatformCollapses(t *testing.T) {
 	// on the Orin; the platform's efficiency under Kodan must decisively
 	// beat direct deployment's absolute value.
 	s := specs(1, 4, 7)
-	kodanShared, err := Shared(s, platformConfig(true))
+	kodanShared, err := SharedCtx(context.Background(), s, platformConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	directShared, err := Shared(s, platformConfig(false))
+	directShared, err := SharedCtx(context.Background(), s, platformConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +140,13 @@ func TestDirectPlatformCollapses(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Dedicated(specs(1), Config{Sats: 0, Deadline: time.Second}); err == nil {
+	if _, err := DedicatedCtx(context.Background(), specs(1), Config{Sats: 0, Deadline: time.Second}); err == nil {
 		t.Fatal("zero satellites accepted")
 	}
-	if _, err := Shared(nil, platformConfig(true)); err == nil {
+	if _, err := SharedCtx(context.Background(), nil, platformConfig(true)); err == nil {
 		t.Fatal("no apps accepted")
 	}
-	if _, err := Shared(specs(1), Config{Sats: 1}); err == nil {
+	if _, err := SharedCtx(context.Background(), specs(1), Config{Sats: 1}); err == nil {
 		t.Fatal("zero deadline accepted")
 	}
 }

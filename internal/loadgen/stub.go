@@ -62,14 +62,14 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // bodies per application. Applications outside apps (or quantized
 // variants) are computed on demand from the shared workspace.
 func StubPipeline(work WorkModel, apps []int) (server.NewSystemFunc, server.TransformFunc, server.TransformBatchFunc, error) {
-	sys, err := kodan.NewSystem(stubTransformConfig(7))
+	sys, err := kodan.NewSystemCtx(context.TODO(), stubTransformConfig(7))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("build stub workspace: %w", err)
 	}
 	prebuilt := make(map[int]*kodan.Application, len(apps))
 	var mu sync.Mutex
 	for _, idx := range apps {
-		app, err := sys.TransformVariantCtx(context.Background(), idx, false)
+		app, err := sys.TransformVariantCtx(context.TODO(), idx, false)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("prebuild app %d: %w", idx, err)
 		}

@@ -61,7 +61,7 @@ type batchMember struct {
 }
 
 func newBatcher(s *Server, window time.Duration, max int) *batcher {
-	scope := s.metrics.Registry().Scope("server.batch")
+	scope := s.Registry().Scope("server.batch")
 	return &batcher{
 		s:       s,
 		window:  window,
@@ -158,12 +158,12 @@ func (b *batcher) run(g *batchGroup, members []*batchMember) {
 		finish(err, nil)
 		return
 	}
-	defer s.pool.Release()
+	defer s.release()
 
 	indexes := make([]int, len(members))
 	for i, m := range members {
 		indexes[i] = m.appIndex
-		s.metrics.TransformStarted()
+		s.metrics.transformsStarted.Inc()
 	}
 	b.flushes.Inc()
 	b.size.Observe(float64(len(members)))
@@ -182,7 +182,7 @@ func (b *batcher) run(g *batchGroup, members []*batchMember) {
 	share := time.Duration(int64(time.Since(start)) / int64(len(members)))
 	cancelled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	for range members {
-		s.metrics.TransformDone(share, err, cancelled)
+		s.metrics.transformDone(share, err, cancelled)
 	}
 	finish(err, apps)
 }

@@ -128,8 +128,8 @@ func TestSaturationStormRetryAfter(t *testing.T) {
 		}(app)
 	}
 	waitFor(t, 5*time.Second, "pool to fill", func() bool {
-		snap := s.Metrics()
-		return snap.Pool.InFlight == 1 && snap.Pool.Queued == 1
+		st := s.pool.Stats()
+		return st.InFlight == 1 && st.Queued == 1
 	})
 
 	// The storm: every one of these distinct apps must bounce with 429 +
@@ -158,7 +158,7 @@ func TestSaturationStormRetryAfter(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := s.Metrics().Pool.Rejected; got != stormN {
+	if got := s.pool.Stats().Rejected; got != stormN {
 		t.Errorf("pool rejected = %d, want %d", got, stormN)
 	}
 }
@@ -208,7 +208,7 @@ func TestGracefulDrainMultipleInFlight(t *testing.T) {
 		}(app)
 	}
 	waitFor(t, 5*time.Second, "both requests in flight", func() bool {
-		return s.Metrics().Pool.InFlight == 2
+		return s.pool.Stats().InFlight == 2
 	})
 
 	shutdownRet := make(chan struct{})

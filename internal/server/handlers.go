@@ -12,8 +12,10 @@ import (
 	"time"
 
 	"kodan"
+	"kodan/internal/admission"
 	"kodan/internal/fault"
 	"kodan/internal/planner"
+	"kodan/internal/shardcache"
 	"kodan/internal/sim"
 	"kodan/internal/telemetry"
 )
@@ -59,12 +61,23 @@ type planRequest struct {
 	ContactGapFrames float64 `json:"contactGapFrames"`
 }
 
+// Request bounds. A /v1/simulate request runs at most maxSimDays x
+// maxSimSats = 448 satellite-days of orbital simulation (about 9 s on a
+// 2-core x86 host, far below the default 120 s request timeout);
+// maxSimSats covers the paper's constellation ladder (Figure 2 sweeps up
+// to 56 satellites). Request bodies are small JSON documents.
+const (
+	maxSimDays      = 7
+	maxSimSats      = 64
+	maxRequestBytes = 64 << 10
+)
+
 // simulateRequest is the /v1/simulate request body.
 type simulateRequest struct {
 	planRequest
-	// Days is the simulated span (default 1).
+	// Days is the simulated span, 1..maxSimDays (0 means 1).
 	Days int `json:"days"`
-	// Sats is the constellation population (default 1).
+	// Sats is the constellation population, 1..maxSimSats (0 means 1).
 	Sats int `json:"sats"`
 	// Mode picks the deployment under test: "kodan" (default),
 	// "bentpipe", or "direct".
@@ -80,14 +93,22 @@ func (s *Server) requestContext(r *http.Request, req planRequest) (context.Conte
 	return context.WithTimeout(r.Context(), timeout)
 }
 
-// decode parses a JSON body strictly.
-func decode(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(r.Body)
+// decode parses a JSON body of at most maxRequestBytes strictly. On
+// failure it writes the 400 (or 413 for an oversized body) and returns
+// false.
+func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSONError(w, status, fmt.Sprintf("bad request body: %v", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 // writeJSON writes v as indented JSON.
@@ -125,7 +146,7 @@ func (s *Server) retryAfter(d time.Duration) string {
 // writeError maps pipeline errors onto HTTP statuses.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrSaturated):
+	case errors.Is(err, admission.ErrSaturated):
 		w.Header().Set("Retry-After", s.retryAfter(time.Second))
 		writeJSONError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrBreakerOpen):
@@ -170,7 +191,7 @@ func (s *Server) seedOf(req planRequest) uint64 {
 
 // system returns (building at most once per seed) the transformation
 // workspace for a seed.
-func (s *Server) system(ctx context.Context, seed uint64) (*kodan.System, CacheSource, error) {
+func (s *Server) system(ctx context.Context, seed uint64) (*kodan.System, shardcache.Source, error) {
 	key := fmt.Sprintf("sys|%d", seed)
 	v, src, err := s.cache.Do(ctx, key, func(cctx context.Context) (interface{}, error) {
 		return s.cfg.NewSystem(cctx, s.cfg.TransformConfig(seed))
@@ -186,7 +207,7 @@ func (s *Server) system(ctx context.Context, seed uint64) (*kodan.System, CacheS
 // tenant attributes the pool wait to the caller's fair queue; when
 // batching is enabled, the cache-miss leader coalesces with concurrent
 // same-(seed, variant) misses instead of transforming alone.
-func (s *Server) application(ctx context.Context, tenant string, seed uint64, appIndex int, quantized bool) (*kodan.Application, CacheSource, error) {
+func (s *Server) application(ctx context.Context, tenant string, seed uint64, appIndex int, quantized bool) (*kodan.Application, shardcache.Source, error) {
 	key := fmt.Sprintf("app|%d|%d|%t", seed, appIndex, quantized)
 	v, src, err := s.cache.Do(ctx, key, func(cctx context.Context) (interface{}, error) {
 		if s.batcher != nil {
@@ -196,8 +217,8 @@ func (s *Server) application(ctx context.Context, tenant string, seed uint64, ap
 		if err != nil {
 			return nil, err
 		}
-		defer s.pool.Release()
-		s.metrics.TransformStarted()
+		defer s.release()
+		s.metrics.transformsStarted.Inc()
 		start := time.Now()
 		tctx, trSp := telemetry.StartSpan(cctx, "server.transform")
 		trSp.Set("app", fmt.Sprint(appIndex))
@@ -205,7 +226,7 @@ func (s *Server) application(ctx context.Context, tenant string, seed uint64, ap
 		app, err := s.cfg.Transform(tctx, sys, appIndex, quantized)
 		trSp.End()
 		cancelled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-		s.metrics.TransformDone(time.Since(start), err, cancelled)
+		s.metrics.transformDone(time.Since(start), err, cancelled)
 		return app, err
 	})
 	if err != nil {
@@ -216,38 +237,44 @@ func (s *Server) application(ctx context.Context, tenant string, seed uint64, ap
 
 // acquireAndBuild claims a worker slot on tenant's behalf and resolves the
 // seed's workspace. On success the caller owns the slot (pair with
-// s.pool.Release); on error the slot is already returned.
+// s.release); on error the slot is already returned. The pool gauges
+// change here and in release: server.pool_queued counts callers waiting
+// for a slot, server.pool_occupancy the slots held.
 func (s *Server) acquireAndBuild(ctx context.Context, tenant string, seed uint64) (*kodan.System, error) {
 	enqueued := time.Now()
 	_, waitSp := telemetry.StartSpan(ctx, "server.pool_wait")
+	s.metrics.poolQueued.Add(1)
 	err := s.pool.Acquire(ctx, tenant)
+	s.metrics.poolQueued.Add(-1)
 	waitSp.End()
 	s.tenants.QueueDepth(tenant, s.pool.QueueDepthOf(tenant))
 	if err != nil {
-		if errors.Is(err, ErrSaturated) {
+		if errors.Is(err, admission.ErrSaturated) {
+			s.metrics.poolRejected.Inc()
 			s.tenants.Rejected(tenant)
 		}
 		return nil, err
 	}
-	s.metrics.PoolAcquired(time.Since(enqueued), s.pool.Stats().InFlight)
+	s.metrics.poolWaitSeconds.Observe(time.Since(enqueued).Seconds())
+	s.metrics.poolOccupancy.Add(1)
 	sys, _, err := s.system(ctx, seed)
 	if err != nil {
-		s.pool.Release()
+		s.release()
 		return nil, err
 	}
 	return sys, nil
+}
+
+// release returns a worker slot claimed by acquireAndBuild.
+func (s *Server) release() {
+	s.pool.Release()
+	s.metrics.poolOccupancy.Add(-1)
 }
 
 // mission returns the reference mission parameters for a span and
 // constellation size, derived from the orbital simulator (cached: the
 // simulation is deterministic but takes on the order of a second).
 func (s *Server) mission(ctx context.Context, days, sats int) (kodan.Mission, error) {
-	if days <= 0 {
-		days = 1
-	}
-	if sats <= 0 {
-		sats = 1
-	}
 	key := fmt.Sprintf("sim|%d|%d", days, sats)
 	v, _, err := s.cache.Do(ctx, key, func(cctx context.Context) (interface{}, error) {
 		cfg := sim.Landsat8Config(s.cfg.SimEpoch, time.Duration(days)*24*time.Hour, sats)
@@ -325,9 +352,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleMetrics exports the ops counters as JSON.
+// handleMetrics exports the registry snapshot as JSON.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.cache, s.pool))
+	writeJSON(w, http.StatusOK, s.Registry().Snapshot())
 }
 
 // catalogResponse is the /v1/catalog document.
@@ -398,8 +425,7 @@ type transformResponse struct {
 // application.
 func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if err := decode(r, &req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.App < 1 || req.App > len(kodan.Applications()) {
@@ -433,8 +459,7 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 // of that selection logic and returns per-context placements.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if err := decode(r, &req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.App < 1 || req.App > len(kodan.Applications()) {
@@ -624,7 +649,8 @@ func (s *Server) handleHybridPlan(w http.ResponseWriter, r *http.Request, req pl
 		return
 	}
 	resp := v.(hybridPlanResponse)
-	s.metrics.PlannerPlanned(resp.DeferFrac)
+	s.metrics.plannerPlans.Inc()
+	s.metrics.plannerDeferFrac.Observe(resp.DeferFrac)
 	w.Header().Set("X-Kodan-Cache", src.String())
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -654,8 +680,7 @@ type simulateResponse struct {
 // constellation size.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req simulateRequest
-	if err := decode(r, &req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.App < 1 || req.App > len(kodan.Applications()) {
@@ -677,15 +702,19 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want kodan, bentpipe, or direct)", req.Mode))
 		return
 	}
+	if req.Days < 0 || req.Days > maxSimDays || req.Sats < 0 || req.Sats > maxSimSats {
+		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("days must be 0..%d and sats 0..%d (0 means 1)", maxSimDays, maxSimSats))
+		return
+	}
+	if req.Days == 0 {
+		req.Days = 1
+	}
+	if req.Sats == 0 {
+		req.Sats = 1
+	}
 	ctx, cancel := s.requestContext(r, req.planRequest)
 	defer cancel()
 
-	if req.Days <= 0 {
-		req.Days = 1
-	}
-	if req.Sats <= 0 {
-		req.Sats = 1
-	}
 	m, err := s.mission(ctx, req.Days, req.Sats)
 	if err != nil {
 		s.writeError(w, err)

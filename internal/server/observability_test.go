@@ -196,7 +196,7 @@ func TestHealthzLiveDuringDrain(t *testing.T) {
 		resCh <- result{code: resp.StatusCode, reqID: resp.Header.Get("X-Request-ID")}
 	}()
 	waitFor(t, 10*time.Second, "request in flight", func() bool {
-		return s.Metrics().Pool.InFlight == 1
+		return s.pool.Stats().InFlight == 1
 	})
 
 	shutdownDone := make(chan struct{})
@@ -234,36 +234,6 @@ func TestHealthzLiveDuringDrain(t *testing.T) {
 	<-shutdownDone
 	if err := <-serveErr; err != http.ErrServerClosed {
 		t.Fatalf("serve returned %v, want ErrServerClosed", err)
-	}
-}
-
-// TestLatencyReservoirPastWindow pins the per-route reservoir's behavior
-// past its window: it holds exactly the most recent window observations
-// (oldest overwritten in ring order), while the request count keeps the
-// full total.
-func TestLatencyReservoirPastWindow(t *testing.T) {
-	m := NewMetrics(4, nil)
-	for i := 1; i <= 10; i++ {
-		m.Observe("/x", 200, time.Duration(i)*time.Millisecond)
-	}
-	snap := m.Snapshot(nil, nil)
-	rs := snap.Requests["/x"]
-	if rs.Count != 10 {
-		t.Errorf("count = %d, want 10 (reservoir must not cap the counter)", rs.Count)
-	}
-	lat := rs.Latency
-	if lat.Samples != 4 || lat.Window != 4 {
-		t.Errorf("samples/window = %d/%d, want 4/4", lat.Samples, lat.Window)
-	}
-	// The retained set is {7,8,9,10} ms: the 1..6ms observations fell out.
-	if lat.Max != 10 {
-		t.Errorf("max = %v, want 10 (most recent)", lat.Max)
-	}
-	if lat.P50 < 7 {
-		t.Errorf("p50 = %v, want >= 7 (old fast samples must be evicted)", lat.P50)
-	}
-	if lat.P99 != 10 {
-		t.Errorf("p99 = %v, want 10", lat.P99)
 	}
 }
 

@@ -151,7 +151,7 @@ func transient(err error) bool {
 // faults, and a healthy transform never accumulates breaker failures.
 func (s *Server) resilientTransform(base TransformFunc) TransformFunc {
 	return func(ctx context.Context, sys *kodan.System, appIndex int, quantized bool) (*kodan.Application, error) {
-		scope := s.metrics.Registry().Scope("server.resilience")
+		scope := s.Registry().Scope("server.resilience")
 		backoff := s.cfg.RetryBackoff
 		var err error
 		for attempt := 1; ; attempt++ {

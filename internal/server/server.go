@@ -21,8 +21,9 @@
 //     the training loops, which check their context between epochs.
 //
 // Ops surface: GET /healthz (liveness), GET /readyz (serving/draining),
-// GET /metrics (JSON counters: request counts, latency percentiles, cache
-// hits/misses, pool gauges, transform lifecycle). Shutdown drains
+// GET /metrics (the telemetry registry snapshot as JSON: per-route request
+// counts, status counts and latency histograms, cache, pool and transform
+// counters, and the pipeline's per-stage metrics). Shutdown drains
 // in-flight requests before closing the listener.
 package server
 
@@ -58,9 +59,9 @@ type NewSystemFunc func(ctx context.Context, cfg kodan.TransformConfig) (*kodan.
 // TransformBatchFunc runs the one-time transformation for several
 // applications of the same (seed, variant) in one batched pipeline pass,
 // returning one result per requested index in order. The default loops
-// Config.Transform (equivalently (*kodan.System).TransformBatchVariantCtx,
-// whose per-tile inference already amortizes through PredictBatch); load
-// tests substitute cost models with an explicit fixed+marginal split.
+// Config.Transform (per-tile inference already amortizes through
+// PredictBatch); load tests substitute cost models with an explicit
+// fixed+marginal split.
 type TransformBatchFunc func(ctx context.Context, sys *kodan.System, appIndexes []int, quantized bool) ([]*kodan.Application, error)
 
 // Config sizes the server.
@@ -74,8 +75,6 @@ type Config struct {
 	// Timeout is the per-request ceiling for the expensive endpoints
 	// (default 120s). A request's own timeoutMs may shorten it.
 	Timeout time.Duration
-	// MetricsWindow is the per-route latency reservoir size (default 512).
-	MetricsWindow int
 	// TransformConfig maps a seed to the transformation sizing (default
 	// kodan.DefaultTransformConfig).
 	TransformConfig func(seed uint64) kodan.TransformConfig
@@ -86,9 +85,6 @@ type Config struct {
 	// the reproduction's reference epoch); fixing it keeps every
 	// response deterministic for a given request.
 	SimEpoch time.Time
-	// Logf, when set, receives one line per served request. Superseded by
-	// Logger; kept for callers that only want printf-style lines.
-	Logf func(format string, args ...interface{})
 	// Logger, when set, receives structured request logs (one record per
 	// served request, carrying the request ID) and lifecycle events, and
 	// is threaded through request contexts so the layers below can log
@@ -210,6 +206,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot hold the listener.
+const readHeaderTimeout = 10 * time.Second
+
 // Server is the mission-planning service. Create with New, serve with
 // ListenAndServe or Serve, stop with Shutdown (graceful) or Close.
 type Server struct {
@@ -218,13 +218,13 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	cache   *Cache
+	cache   *shardcache.Cache
 	pool    *admission.FairPool
 	limiter *admission.Limiter
 	tenants *admission.TenantMetrics
 	jitter  *jitterSource
 	batcher *batcher
-	metrics *Metrics
+	metrics *metrics
 	probe   telemetry.Probe
 	logger  *slog.Logger
 	breaker *Breaker
@@ -256,8 +256,8 @@ func (j *jitterSource) seconds() int {
 // New builds a server from the configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	metrics := NewMetrics(cfg.MetricsWindow, nil)
-	probe := telemetry.Probe{Metrics: metrics.Registry(), Trace: cfg.Tracer}
+	reg := telemetry.NewRegistry()
+	probe := telemetry.Probe{Metrics: reg, Trace: cfg.Tracer}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -276,7 +276,7 @@ func New(cfg Config) *Server {
 		cache: shardcache.New(base, shardcache.Options{
 			Shards:     cfg.CacheShards,
 			MaxEntries: cfg.CacheEntries,
-			Scope:      metrics.Registry().Scope("server.cache"),
+			Scope:      reg.Scope("server.cache"),
 		}),
 		pool: admission.NewFairPool(admission.FairPoolOptions{
 			Workers:    cfg.Workers,
@@ -289,9 +289,9 @@ func New(cfg Config) *Server {
 			Burst:      cfg.TenantBurst,
 			MaxTenants: cfg.MaxTenants,
 		}),
-		tenants: admission.NewTenantMetrics(metrics.Registry().Scope("server.tenant"), cfg.MaxTenants),
+		tenants: admission.NewTenantMetrics(reg.Scope("server.tenant"), cfg.MaxTenants),
 		jitter:  &jitterSource{rng: xrand.New(cfg.JitterSeed), max: cfg.RetryAfterJitterMax},
-		metrics: metrics,
+		metrics: newMetrics(reg),
 		probe:   probe,
 		logger:  logger,
 		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
@@ -319,20 +319,17 @@ func New(cfg Config) *Server {
 		s.batcher = newBatcher(s, cfg.BatchWindow, cfg.BatchMax)
 	}
 	s.handler = s.routes()
-	s.httpSrv = &http.Server{Handler: s.handler}
+	s.httpSrv = &http.Server{Handler: s.handler, ReadHeaderTimeout: readHeaderTimeout}
 	return s
 }
 
 // Registry exposes the server's shared telemetry registry, so callers
 // (the flight recorder, the debug listener) can sample or export the same
 // collector /metrics serves.
-func (s *Server) Registry() *telemetry.Registry { return s.metrics.Registry() }
+func (s *Server) Registry() *telemetry.Registry { return s.metrics.reg }
 
 // Handler returns the server's HTTP handler (for httptest and embedding).
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Metrics exposes the collector (read-only use).
-func (s *Server) Metrics() Snapshot { return s.metrics.Snapshot(s.cache, s.pool) }
 
 // ListenAndServe binds addr and serves until Shutdown or a listener
 // error. It returns http.ErrServerClosed after a clean shutdown.
@@ -436,12 +433,15 @@ var requestIDPattern = regexp.MustCompile(`^[A-Za-z0-9_.-]{1,64}$`)
 
 // instrument wraps a handler with panic recovery, latency/status
 // accounting, request-ID issuance, span tracing, and structured logging.
+// The route's metric handles and span name are resolved here, once.
 // The request ID — reused from a well-formed inbound X-Request-ID or
 // minted here — is echoed in the X-Request-ID response header, stamped on
 // the request's slog records, and carried by the context so every span
 // started beneath (pool wait, transform, simulation) annotates itself
 // with it.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
+	rm := s.metrics.route(route)
+	spanName := "http." + route
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		reqID := r.Header.Get("X-Request-ID")
@@ -459,7 +459,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		ctx = context.WithValue(ctx, tenantKey{}, tenant)
 		ctx = telemetry.WithRequestID(ctx, reqID)
 		ctx = telemetry.WithLogger(ctx, s.logger)
-		ctx, span := telemetry.StartSpan(ctx, "http."+route)
+		ctx, span := telemetry.StartSpan(ctx, spanName)
 		r = r.WithContext(ctx)
 
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -470,7 +470,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 				}
 			}
 			d := time.Since(start)
-			s.metrics.Observe(route, sw.status, d)
+			rm.observe(sw.status, d)
 			span.Set("status", fmt.Sprint(sw.status))
 			span.End()
 			s.logger.LogAttrs(ctx, slog.LevelInfo, "request",
@@ -481,9 +481,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 				slog.Int("status", sw.status),
 				slog.Int64("durMs", d.Milliseconds()),
 			)
-			if s.cfg.Logf != nil {
-				s.cfg.Logf("%s %s -> %d in %v", r.Method, r.URL.Path, sw.status, d.Round(time.Millisecond))
-			}
 		}()
 		h(sw, r)
 	})

@@ -18,6 +18,7 @@ import (
 	"kodan"
 	"kodan/internal/cluster"
 	"kodan/internal/ctxengine"
+	"kodan/internal/telemetry"
 )
 
 // tinyTransformConfig is a transformation sized for sub-second unit
@@ -34,10 +35,6 @@ func tinyTransformConfig(seed uint64) kodan.TransformConfig {
 	cfg.Context.Transforms = []ctxengine.Transform{ctxengine.Standardized}
 	cfg.Context.EngineTrain.Epochs = 8
 	return cfg
-}
-
-func newTestSystem(cfg kodan.TransformConfig) (*kodan.System, error) {
-	return kodan.NewSystem(cfg)
 }
 
 // testConfig returns a server config over the tiny pipeline.
@@ -190,7 +187,7 @@ func TestClientTimeoutCancelsWorker(t *testing.T) {
 		t.Fatal("worker never observed cancellation")
 	}
 	waitFor(t, 5*time.Second, "cancelled transform metric", func() bool {
-		return s.Metrics().Transforms.Cancelled == 1
+		return s.metrics.transformsCancelled.Load() == 1
 	})
 }
 
@@ -223,8 +220,8 @@ func TestPoolSaturation(t *testing.T) {
 		}(app)
 	}
 	waitFor(t, 5*time.Second, "pool to fill", func() bool {
-		snap := s.Metrics()
-		return snap.Pool.InFlight == 1 && snap.Pool.Queued == 1
+		st := s.pool.Stats()
+		return st.InFlight == 1 && st.Queued == 1
 	})
 
 	resp, body := post(t, ts.Client(), ts.URL+"/v1/plan", blocker(3))
@@ -235,8 +232,11 @@ func TestPoolSaturation(t *testing.T) {
 		t.Fatal("429 without Retry-After header")
 	}
 	wg.Wait()
-	if got := s.Metrics().Pool.Rejected; got != 1 {
+	if got := s.pool.Stats().Rejected; got != 1 {
 		t.Fatalf("pool rejected = %d, want 1", got)
+	}
+	if got := s.Registry().Counter("server.pool_rejected").Load(); got != 1 {
+		t.Fatalf("server.pool_rejected = %d, want 1", got)
 	}
 }
 
@@ -264,33 +264,55 @@ func TestMetricsConsistent(t *testing.T) {
 		t.Fatalf("transform after plan: cache %q, want hit", got)
 	}
 
-	var snap Snapshot
+	var snap telemetry.RegistrySnapshot
 	getJSON(t, ts.URL+"/metrics", &snap)
+	c := snap.Counters
 
 	// Keys populated: sys|7, app|7|2|false, plan|... => first plan is 3 misses
 	// (plan, app, sys), the repeat plan is 1 hit, the transform is 1 hit.
-	if snap.Cache.Misses != 3 {
-		t.Errorf("cache misses = %d, want 3", snap.Cache.Misses)
+	if c["server.cache.misses"] != 3 {
+		t.Errorf("cache misses = %d, want 3", c["server.cache.misses"])
 	}
-	if snap.Cache.Hits != 2 {
-		t.Errorf("cache hits = %d, want 2", snap.Cache.Hits)
+	if c["server.cache.hits"] != 2 {
+		t.Errorf("cache hits = %d, want 2", c["server.cache.hits"])
 	}
-	plan := snap.Requests["/v1/plan"]
-	if plan.Count != 2 || plan.ByStatus["200"] != 2 {
-		t.Errorf("plan route: count=%d byStatus=%v, want 2 x 200", plan.Count, plan.ByStatus)
+	for route, n := range map[string]int64{"/v1/plan": 2, "/v1/transform": 1} {
+		if got := c["server.http.requests"+route]; got != n {
+			t.Errorf("%s requests = %d, want %d", route, got, n)
+		}
+		if got := c["server.http.status"+route+"/200"]; got != n {
+			t.Errorf("%s 200s = %d, want %d", route, got, n)
+		}
+		lat := snap.Histograms["server.http.latency_seconds"+route]
+		if lat.Count != n || lat.P50 <= 0 || lat.P99 < lat.P50 {
+			t.Errorf("%s latency histogram inconsistent: %+v", route, lat)
+		}
 	}
-	if plan.Latency.P50 <= 0 || plan.Latency.P99 < plan.Latency.P50 {
-		t.Errorf("plan latency percentiles inconsistent: %+v", plan.Latency)
+	if c["server.transforms.started"] != 1 || c["server.transforms.completed"] != 1 {
+		t.Errorf("transforms started/completed = %d/%d, want exactly one each",
+			c["server.transforms.started"], c["server.transforms.completed"])
 	}
-	tr := snap.Requests["/v1/transform"]
-	if tr.Count != 1 || tr.ByStatus["200"] != 1 {
-		t.Errorf("transform route: count=%d byStatus=%v, want 1 x 200", tr.Count, tr.ByStatus)
+}
+
+// TestPoolGaugesDrainToZero checks the pool gauges follow the work down:
+// after a transform completes, no slot is held and nobody waits, while
+// the high-water mark remembers the busy slot.
+func TestPoolGaugesDrainToZero(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, body := post(t, ts.Client(), ts.URL+"/v1/transform", `{"app":2}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("transform: status %d (%s)", resp.StatusCode, body)
 	}
-	if snap.Transforms.Started != 1 || snap.Transforms.Completed != 1 {
-		t.Errorf("transform lifecycle = %+v, want exactly one started+completed", snap.Transforms)
+	g := s.Registry().Snapshot().Gauges
+	if occ := g["server.pool_occupancy"]; occ.Value != 0 || occ.Max != 1 {
+		t.Errorf("server.pool_occupancy = %+v after the transform, want value 0, max 1", occ)
 	}
-	if snap.UptimeSeconds <= 0 {
-		t.Errorf("uptime = %v", snap.UptimeSeconds)
+	if q := g["server.pool_queued"]; q.Value != 0 {
+		t.Errorf("server.pool_queued = %d after the transform, want 0", q.Value)
 	}
 }
 
@@ -339,7 +361,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	// Wait until the request is genuinely in flight, then shut down.
 	waitFor(t, 5*time.Second, "request in flight", func() bool {
-		return s.Metrics().Pool.InFlight == 1
+		return s.pool.Stats().InFlight == 1
 	})
 	shutdownDone := make(chan time.Time, 1)
 	go func() {
@@ -437,6 +459,47 @@ func TestOpsEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz while draining: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestRequestBounds sends out-of-range and oversized requests: each gets
+// a 4xx before any work starts, never a 5xx. The simulate bounds still
+// admit the paper's 56-satellite ladder.
+func TestRequestBounds(t *testing.T) {
+	if maxSimSats < 56 || maxSimDays < 2 {
+		t.Fatalf("simulate bounds %d days x %d sats reject the paper's ladder", maxSimDays, maxSimSats)
+	}
+	s := New(testConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	huge := `{"app":1,"target":"orin","mode":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"days overflow", "/v1/simulate", `{"app":1,"target":"orin","days":200000}`, http.StatusBadRequest},
+		{"days past bound", "/v1/simulate", fmt.Sprintf(`{"app":1,"target":"orin","days":%d}`, maxSimDays+1), http.StatusBadRequest},
+		{"negative days", "/v1/simulate", `{"app":1,"target":"orin","days":-1}`, http.StatusBadRequest},
+		{"huge sats", "/v1/simulate", `{"app":1,"target":"orin","sats":2000000}`, http.StatusBadRequest},
+		{"sats past bound", "/v1/simulate", fmt.Sprintf(`{"app":1,"target":"orin","sats":%d}`, maxSimSats+1), http.StatusBadRequest},
+		{"negative sats", "/v1/simulate", `{"app":1,"target":"orin","sats":-3}`, http.StatusBadRequest},
+		{"days on plan", "/v1/plan", `{"app":1,"target":"orin","days":200000}`, http.StatusBadRequest},
+		{"oversized simulate", "/v1/simulate", huge, http.StatusRequestEntityTooLarge},
+		{"oversized plan", "/v1/plan", huge, http.StatusRequestEntityTooLarge},
+		{"oversized transform", "/v1/transform", huge, http.StatusRequestEntityTooLarge},
+	} {
+		resp, body := post(t, ts.Client(), ts.URL+tc.path, tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, body, tc.want)
+		}
+	}
+	if s.httpSrv.ReadHeaderTimeout <= 0 {
+		t.Error("http.Server has no ReadHeaderTimeout")
+	}
+	if n := s.metrics.transformsStarted.Load(); n != 0 {
+		t.Errorf("rejected requests started %d transforms", n)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"kodan"
+	"kodan/internal/telemetry"
 )
 
 // stubPipeline returns NewSystem/Transform overrides that serve one
@@ -22,7 +23,7 @@ import (
 // build (which runs while holding a worker slot) with the request's seed.
 func stubPipeline(t *testing.T, onNewSystem func(seed uint64)) (NewSystemFunc, TransformFunc) {
 	t.Helper()
-	sys, err := newTestSystem(tinyTransformConfig(7))
+	sys, err := kodan.NewSystemCtx(context.Background(), tinyTransformConfig(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +135,13 @@ func TestCacheEvictionBound(t *testing.T) {
 			t.Fatalf("seed %d: status %d (%s)", seed, resp.StatusCode, data)
 		}
 	}
-	m := s.Metrics()
-	if m.Cache.Capacity != 2 {
-		t.Fatalf("cache capacity = %d, want 2", m.Cache.Capacity)
+	if got := s.cache.Capacity(); got != 2 {
+		t.Fatalf("cache capacity = %d, want 2", got)
 	}
-	if m.Cache.Entries > 2 {
-		t.Fatalf("cache holds %d completed entries, over the bound of 2", m.Cache.Entries)
+	if got := s.cache.Len(); got > 2 {
+		t.Fatalf("cache holds %d completed entries, over the bound of 2", got)
 	}
-	if m.Cache.Evictions == 0 {
+	if s.Registry().Counter("server.cache.evictions").Load() == 0 {
 		t.Fatal("no evictions counted after churning a bounded cache")
 	}
 	// Seed 101's entries are long evicted: the request must recompute (a
@@ -206,7 +206,7 @@ func TestWeightedFairServingNoStarvation(t *testing.T) {
 		mu.Lock()
 		holderIn := len(order) == 1
 		mu.Unlock()
-		return holderIn && s.Metrics().Pool.InFlight == 1
+		return holderIn && s.pool.Stats().InFlight == 1
 	})
 	queued := 0
 	for _, w := range []struct {
@@ -216,7 +216,7 @@ func TestWeightedFairServingNoStarvation(t *testing.T) {
 		send(w.tenant, w.seed)
 		queued++
 		q := queued
-		waitForCond(t, func() bool { return s.Metrics().Pool.Queued == q })
+		waitForCond(t, func() bool { return s.pool.Stats().Queued == q })
 	}
 	close(gate)
 	wg.Wait()
@@ -335,7 +335,7 @@ func TestRetryAfterJitterDeterministic(t *testing.T) {
 			if seed == 1 {
 				<-started
 			} else {
-				waitForCond(t, func() bool { return s.Metrics().Pool.Queued == 1 })
+				waitForCond(t, func() bool { return s.pool.Stats().Queued == 1 })
 			}
 		}
 		var got []string
@@ -385,14 +385,15 @@ func TestBatchCoalescing(t *testing.T) {
 		s.Close()
 	}
 
-	var batchCalls, batchedApps atomic.Int64
+	// The default batched transform loops Config.Transform, so counting
+	// Transform calls counts the member transforms the batches ran.
+	var transformed atomic.Int64
 	cfg := testConfig()
 	cfg.BatchWindow = 150 * time.Millisecond
 	cfg.BatchMax = 8
-	cfg.TransformBatch = func(ctx context.Context, sys *kodan.System, appIndexes []int, quantized bool) ([]*kodan.Application, error) {
-		batchCalls.Add(1)
-		batchedApps.Add(int64(len(appIndexes)))
-		return sys.TransformBatchVariantCtx(ctx, appIndexes, quantized)
+	cfg.Transform = func(ctx context.Context, sys *kodan.System, appIndex int, quantized bool) (*kodan.Application, error) {
+		transformed.Add(1)
+		return sys.TransformVariantCtx(ctx, appIndex, quantized)
 	}
 	s := New(cfg)
 	defer s.Close()
@@ -423,18 +424,15 @@ func TestBatchCoalescing(t *testing.T) {
 			t.Errorf("app %d: batched response differs from unbatched baseline", app)
 		}
 	}
-	if calls := batchCalls.Load(); calls >= 3 {
+	reg := s.Registry()
+	if calls := reg.Counter("server.batch.flushes").Load(); calls == 0 || calls >= 3 {
 		t.Errorf("batching ran %d passes for 3 concurrent same-workspace misses, want coalescing", calls)
 	}
-	if got := batchedApps.Load(); got != 3 {
+	if got := transformed.Load(); got != 3 {
 		t.Errorf("batched %d member transforms, want 3", got)
 	}
-	reg := s.Registry()
 	if got := reg.Counter("server.batch.batched").Load(); got != 3 {
 		t.Errorf("server.batch.batched = %d, want 3", got)
-	}
-	if reg.Counter("server.batch.flushes").Load() == 0 {
-		t.Error("server.batch.flushes never incremented")
 	}
 
 	// Replays are cache hits — batching must not bypass the cache.
@@ -444,8 +442,9 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 }
 
-// TestMetricsExposesServingFields pins the /metrics additions: shard
-// count, capacity, evictions, and the pool's JSON shape.
+// TestMetricsExposesServingFields pins the serving series /metrics
+// carries from the shared registry: the aggregate and per-shard cache
+// counters and the pool's wait histogram and gauges.
 func TestMetricsExposesServingFields(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheShards = 4
@@ -457,26 +456,22 @@ func TestMetricsExposesServingFields(t *testing.T) {
 	defer ts.Close()
 
 	post(t, ts.Client(), ts.URL+"/v1/transform", transformBody(1, 1))
-	var doc struct {
-		Cache struct {
-			Shards    int   `json:"shards"`
-			Capacity  int   `json:"capacity"`
-			Evictions int64 `json:"evictions"`
-			Hits      int64 `json:"hits"`
-		} `json:"cache"`
-		Pool struct {
-			Workers    int `json:"workers"`
-			QueueDepth int `json:"queueDepth"`
-		} `json:"pool"`
-	}
+	var doc telemetry.RegistrySnapshot
 	resp := getJSON(t, ts.URL+"/metrics", &doc)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status %d", resp.StatusCode)
 	}
-	if doc.Cache.Shards != 4 || doc.Cache.Capacity != 100 {
-		t.Errorf("cache shards/capacity = %d/%d, want 4/100", doc.Cache.Shards, doc.Cache.Capacity)
+	for _, name := range []string{"server.cache.misses", "server.cache.evictions", "server.cache.shard3.hits", "server.pool_rejected"} {
+		if _, ok := doc.Counters[name]; !ok {
+			t.Errorf("/metrics lacks counter %s", name)
+		}
 	}
-	if doc.Pool.Workers != 2 {
-		t.Errorf("pool workers = %d, want 2", doc.Pool.Workers)
+	for _, name := range []string{"server.pool_occupancy", "server.pool_queued"} {
+		if _, ok := doc.Gauges[name]; !ok {
+			t.Errorf("/metrics lacks gauge %s", name)
+		}
+	}
+	if doc.Histograms["server.pool_wait_seconds"].Count != 1 {
+		t.Errorf("server.pool_wait_seconds = %+v, want one sample", doc.Histograms["server.pool_wait_seconds"])
 	}
 }

@@ -57,7 +57,7 @@ func TestTraceWrittenAfterDrainIsBalanced(t *testing.T) {
 		resCh <- resp.StatusCode
 	}()
 	waitFor(t, 5*time.Second, "request in flight", func() bool {
-		return s.Metrics().Pool.InFlight == 1
+		return s.pool.Stats().InFlight == 1
 	})
 
 	// Begin the drain while the transform is still blocked, then release

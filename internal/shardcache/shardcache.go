@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"kodan/internal/telemetry"
 )
@@ -72,7 +71,7 @@ type Options struct {
 	// 0 means unbounded (the pre-sharding behavior).
 	MaxEntries int
 	// Scope, when set, receives the aggregate and per-shard counters. A nil
-	// scope makes the registry counters no-ops; Stats still counts.
+	// scope makes them no-ops.
 	Scope *telemetry.Scope
 }
 
@@ -86,9 +85,6 @@ type Cache struct {
 type shard struct {
 	base     context.Context
 	capacity int // completed entries retained; 0 = unbounded
-
-	// Stats counters: always live, independent of telemetry wiring.
-	nHits, nMisses, nJoins, nEvict atomic.Int64
 
 	hits, misses, joins, evictions         *telemetry.Counter // per-shard
 	aggHits, aggMisses, aggJoins, aggEvict *telemetry.Counter // cache-wide
@@ -150,9 +146,6 @@ func New(base context.Context, opts Options) *Cache {
 	return c
 }
 
-// Shards returns the shard count.
-func (c *Cache) Shards() int { return len(c.shards) }
-
 // Capacity returns the total completed-entry bound (0 = unbounded).
 func (c *Cache) Capacity() int {
 	if c.shards[0].capacity == 0 {
@@ -163,18 +156,6 @@ func (c *Cache) Capacity() int {
 
 // ShardFor returns the shard index owning key (stable across processes).
 func (c *Cache) ShardFor(key string) int { return c.ring.lookup(key) }
-
-// Stats returns cumulative hit/miss/join/eviction counts summed across
-// shards.
-func (c *Cache) Stats() (hits, misses, joins, evictions int64) {
-	for _, s := range c.shards {
-		hits += s.nHits.Load()
-		misses += s.nMisses.Load()
-		joins += s.nJoins.Load()
-		evictions += s.nEvict.Load()
-	}
-	return
-}
 
 // Len returns the number of completed entries plus in-flight computations
 // across all shards.
@@ -201,7 +182,6 @@ func (s *shard) do(ctx context.Context, key string, fn func(context.Context) (in
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
 		if e.completed {
-			s.nHits.Add(1)
 			s.hits.Inc()
 			s.aggHits.Inc()
 			s.order.MoveToFront(e.elem)
@@ -209,7 +189,6 @@ func (s *shard) do(ctx context.Context, key string, fn func(context.Context) (in
 			return e.val, Hit, e.err
 		}
 		e.waiters++
-		s.nJoins.Add(1)
 		s.joins.Inc()
 		s.aggJoins.Inc()
 		s.mu.Unlock()
@@ -223,7 +202,6 @@ func (s *shard) do(ctx context.Context, key string, fn func(context.Context) (in
 	cctx = telemetry.PropagateTelemetry(ctx, cctx)
 	e := &entry{done: make(chan struct{}), waiters: 1, cancel: cancel}
 	s.entries[key] = e
-	s.nMisses.Add(1)
 	s.misses.Inc()
 	s.aggMisses.Inc()
 	s.mu.Unlock()
@@ -261,7 +239,6 @@ func (s *shard) evictLocked() {
 		key := back.Value.(string)
 		s.order.Remove(back)
 		delete(s.entries, key)
-		s.nEvict.Add(1)
 		s.evictions.Inc()
 		s.aggEvict.Inc()
 	}

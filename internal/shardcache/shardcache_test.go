@@ -43,7 +43,8 @@ func TestRingLookupStableAcrossShardCounts(t *testing.T) {
 }
 
 func TestDoMissThenHit(t *testing.T) {
-	c := New(context.Background(), Options{Shards: 4})
+	reg := telemetry.NewRegistry()
+	c := New(context.Background(), Options{Shards: 4, Scope: reg.Scope("cache")})
 	calls := 0
 	fn := func(context.Context) (interface{}, error) {
 		calls++
@@ -60,9 +61,9 @@ func TestDoMissThenHit(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("fn ran %d times, want 1", calls)
 	}
-	hits, misses, _, _ := c.Stats()
+	hits, misses := reg.Counter("cache.hits").Load(), reg.Counter("cache.misses").Load()
 	if hits != 1 || misses != 1 {
-		t.Fatalf("stats hits=%d misses=%d, want 1/1", hits, misses)
+		t.Fatalf("counters hits=%d misses=%d, want 1/1", hits, misses)
 	}
 }
 
@@ -155,12 +156,12 @@ func TestLRUEvictionAndCounters(t *testing.T) {
 	if _, src, _ := c.Do(context.Background(), "b", func(context.Context) (interface{}, error) { calls++; return "b2", nil }); src != Miss || calls != 1 {
 		t.Fatalf("b should have been evicted: src=%v calls=%d", src, calls)
 	}
-	_, _, _, evictions := c.Stats()
+	evictions := reg.Counter("cache.evictions").Load()
 	if evictions < 1 {
 		t.Fatalf("evictions = %d, want >= 1", evictions)
 	}
-	if got := reg.Counter("cache.evictions").Load(); got != evictions {
-		t.Fatalf("aggregate eviction counter = %d, want %d", got, evictions)
+	if got := reg.Counter("cache.shard0.evictions").Load(); got != evictions {
+		t.Fatalf("shard eviction counter = %d, want the aggregate %d", got, evictions)
 	}
 }
 

@@ -2,6 +2,7 @@ package kodan
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 )
@@ -15,7 +16,7 @@ func testSystem(t *testing.T) *System {
 	cfg.Frames = 60
 	cfg.TileRes = 16
 	cfg.Tilings = []Tiling{{PerSide: 3}, {PerSide: 6}}
-	sys, err := NewSystem(cfg)
+	sys, err := NewSystemCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestEndToEndHeadlineResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sys.Transform(4)
+	a, err := sys.TransformCtx(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestEndToEndHeadlineResult(t *testing.T) {
 func TestTransformRejectsBadIndex(t *testing.T) {
 	sys := testSystem(t)
 	for _, idx := range []int{0, 8, -1} {
-		if _, err := sys.Transform(idx); err == nil {
+		if _, err := sys.TransformCtx(context.Background(), idx); err == nil {
 			t.Fatalf("index %d accepted", idx)
 		}
 	}
@@ -114,7 +115,7 @@ func TestRuntimeFromPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sys.Transform(1)
+	a, err := sys.TransformCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestBundleRoundTripThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sys.Transform(2)
+	a, err := sys.TransformCtx(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestImportSelectionHostileInputs(t *testing.T) {
 // mission-derived environment helper.
 func TestPlanHybridFromPublicAPI(t *testing.T) {
 	sys := testSystem(t)
-	a, err := sys.Transform(4)
+	a, err := sys.TransformCtx(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,12 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# perfbench/ is its own Go module (the repository benchmark), so the
+# root ./... never compiles it; vet and build it here so an API change
+# in the root module cannot break the benchmark unseen.
+echo "==> perfbench: go vet + go build"
+(cd perfbench && go vet ./... && go build -o /dev/null ./...)
+
 echo "==> go test -race ./..."
 go test -race ./...
 
