@@ -287,8 +287,7 @@ const feasEps = 1e-9
 // the all-Drop plan is a universal fallback.
 func evaluate(dispositions []Disposition, opts [][]option, prof policy.TilingProfile, env Env) (Eval, bool) {
 	var ev Eval
-	engineMs := float64(prof.Tiling.Tiles()) * env.Policy.Target.ContextEngineMsPerTile()
-	ms := engineMs
+	ms := engineMs(prof, env)
 	var finished, raw float64
 	hasModels := false
 	for c, d := range dispositions {
@@ -319,41 +318,67 @@ func evaluate(dispositions []Disposition, opts [][]option, prof policy.TilingPro
 	// Constraints: frame deadline (and optional duty cap) on the on-board
 	// work, the shared link pool on all downlinked bits, and the buffer on
 	// the peak deferred backlog between contacts.
-	deadline := env.Policy.Deadline
-	if hasModels {
-		if ev.FrameTime > deadline {
-			return ev, false
-		}
-		if dutyCap := env.Policy.MaxDutyCycle; dutyCap > 0 &&
-			float64(ev.FrameTime)/float64(deadline) > dutyCap+feasEps {
-			return ev, false
-		}
-	}
-	if ev.NowBits+ev.DeferBits > env.Policy.CapacityFrac+feasEps {
-		return ev, false
-	}
-	if ev.DeferBits*env.contactGap() > env.BufferFrames+feasEps {
+	if !env.onboardFits(ev.FrameTime, hasModels) || !env.linkFits(ev.NowBits, ev.DeferBits) {
 		return ev, false
 	}
 
 	// EnergyPerFrame clamps at the deadline, so even the engine-overrun
 	// fallback prices finitely.
-	energy, err := power.EnergyPerFrame(env.Policy.Target, ev.FrameTime, deadline)
+	energy, err := power.EnergyPerFrame(env.Policy.Target, ev.FrameTime, env.Policy.Deadline)
 	if err != nil {
 		return ev, false
 	}
 	ev.EnergyPerFrameJ = energy
 
 	ev.ValueFrames = finished + raw
-	cost := env.Costs
-	ev.Utility = cost.ValuePerFrame*(finished+cost.RawDiscount*raw) -
-		cost.LinkPerFrame*(ev.NowBits+ev.DeferBits) -
-		cost.GroundPerFrame*ev.GroundFrames -
-		cost.EnergyPerKJ*energy/1000
-	if link := ev.NowBits + ev.DeferBits; link > 0 {
+	link := ev.NowBits + ev.DeferBits
+	ev.Utility = env.Costs.utility(finished, raw, link, ev.GroundFrames, env.Costs.energyCost(energy))
+	if link > 0 {
 		ev.DVD = ev.ValueFrames / link
 	}
 	return ev, true
+}
+
+// engineMs is the context engine's share of the frame time.
+func engineMs(prof policy.TilingProfile, env Env) float64 {
+	return float64(prof.Tiling.Tiles()) * env.Policy.Target.ContextEngineMsPerTile()
+}
+
+// onboardFits reports whether on-board work of frame time ft meets the
+// frame deadline and the optional duty cap. Work without models is
+// exempt.
+func (e Env) onboardFits(ft time.Duration, hasModels bool) bool {
+	if !hasModels {
+		return true
+	}
+	deadline := e.Policy.Deadline
+	if ft > deadline {
+		return false
+	}
+	dutyCap := e.Policy.MaxDutyCycle
+	return !(dutyCap > 0 && float64(ft)/float64(deadline) > dutyCap+feasEps)
+}
+
+// linkFits reports whether the immediate and deferred bits fit the shared
+// link pool and the deferred backlog fits the buffer. The pointer
+// receiver keeps the placement search's per-probe call from copying Env.
+func (e *Env) linkFits(nowBits, deferBits float64) bool {
+	return !(nowBits+deferBits > e.Policy.CapacityFrac+feasEps) &&
+		!(deferBits*e.contactGap() > e.BufferFrames+feasEps)
+}
+
+// energyCost prices the on-board compute energy of one frame.
+func (c Costs) energyCost(joules float64) float64 {
+	return c.EnergyPerKJ * joules / 1000
+}
+
+// utility is the planner's objective: finished value plus discounted raw
+// value, minus link, ground and energy costs.
+func (c Costs) utility(finished, raw, link, ground, energyCost float64) float64 {
+	return c.ValuePerFrame*(finished+c.RawDiscount*raw) -
+		c.LinkPerFrame*link -
+		c.GroundPerFrame*ground -
+		energyCost
 }
 
 // betterEval orders plan evaluations: utility first, then less deferral
@@ -422,23 +447,7 @@ func DecideCtx(ctx context.Context, prof policy.TilingProfile, base policy.Selec
 	var bestEv Eval
 	found := false
 	if exhaustive {
-		cur := make([]Disposition, k)
-		for code := 0; code < combos; code++ {
-			c := code
-			for i := 0; i < k; i++ {
-				cur[i] = Disposition(c % int(numDispositions))
-				c /= int(numDispositions)
-			}
-			ev, ok := evaluate(cur, opts, prof, env)
-			if !ok {
-				continue
-			}
-			if !found || betterEval(ev, bestEv) {
-				best = append(best[:0], cur...)
-				bestEv = ev
-				found = true
-			}
-		}
+		best, bestEv, found = exhaustiveSearch(opts, prof, env, combos)
 	} else {
 		best, bestEv, found = hillClimb(opts, prof, env)
 	}
@@ -470,6 +479,133 @@ func DecideCtx(ctx context.Context, prof policy.TilingProfile, base policy.Selec
 		Actions:      actions,
 		Eval:         bestEv,
 	}, nil
+}
+
+// exhaustiveSearch sweeps the first combos placement assignments in
+// odometer order — digit 0 fastest, so code n places context i at
+// Disposition(n/4^i%4) — and returns the fold evaluate plus betterEval
+// would make probe by probe: the first feasible assignment no later one
+// beats. Odometer order is the tie order.
+//
+// A probe's on-board work depends only on its Onboard mask (bit c set when
+// context c is placed Onboard): every other placement adds an exact zero
+// model time. So the frame time, hasModels, deadline and duty feasibility
+// and the energy per frame are tabulated once per mask. A probe skips an
+// infeasible mask before any summing, otherwise sums NowBits and
+// DeferBits in context order as evaluate does and runs the link and
+// buffer checks; a probe that passes sums GroundFrames, finished and raw
+// the same way, prices Utility with evaluate's helpers, and compares
+// inline with betterEval's eps and NaN semantics. Only the winner's full
+// Eval (fractions, DVD) is built, through evaluate.
+func exhaustiveSearch(opts [][]option, prof policy.TilingProfile, env Env, combos int) ([]Disposition, Eval, bool) {
+	k := len(opts)
+	nMask := 1 << k
+	feasible := make([]bool, nMask)
+	energy := make([]float64, nMask)
+	energyCosts := make([]float64, nMask)
+	base := engineMs(prof, env)
+	for mask := 0; mask < nMask; mask++ {
+		ms := base
+		hasModels := false
+		for c := 0; c < k; c++ {
+			if mask>>c&1 != 0 {
+				m := opts[c][Onboard].modelMs
+				ms += m
+				hasModels = hasModels || m > 0
+			}
+		}
+		ft := time.Duration(ms * float64(time.Millisecond))
+		e, err := power.EnergyPerFrame(env.Policy.Target, ft, env.Policy.Deadline)
+		feasible[mask] = err == nil && env.onboardFits(ft, hasModels)
+		energy[mask] = e
+		energyCosts[mask] = env.Costs.energyCost(e)
+	}
+	const nD = int(numDispositions)
+	flat := make([]option, 0, k*nD)
+	for _, row := range opts {
+		flat = append(flat, row...)
+	}
+
+	const eps = 1e-12
+	found := false
+	bestCode := 0
+	var uHi, uLo, defHi, defLo, enHi, enLo, nowLo float64
+	// digit[c] is context c's odometer digit; every digit starts at
+	// Onboard, so every mask bit starts set.
+	digit := make([]int, k)
+	mask := nMask - 1
+	for code := 0; code < combos; code++ {
+		if code > 0 {
+			for i := 0; ; i++ {
+				d := digit[i] + 1
+				if d == nD {
+					d = 0
+				}
+				digit[i] = d
+				if Disposition(d) == Onboard {
+					mask |= 1 << i
+				} else {
+					mask &^= 1 << i
+				}
+				if d != 0 {
+					break
+				}
+			}
+		}
+		if !feasible[mask] {
+			continue
+		}
+		// The link and buffer checks read only the bit sums, so the value
+		// sums wait until they pass; each sum keeps evaluate's order.
+		var now, def, ground, finished, raw float64
+		for c, d := range digit {
+			o := &flat[c*nD+d]
+			now += o.nowBits
+			def += o.deferBits
+		}
+		if !env.linkFits(now, def) {
+			continue
+		}
+		for c, d := range digit {
+			o := &flat[c*nD+d]
+			ground += o.ground
+			finished += o.finished
+			raw += o.raw
+		}
+		u := env.Costs.utility(finished, raw, now+def, ground, energyCosts[mask])
+		en := energy[mask]
+		// betterEval(probe, winner), written with negated comparisons so
+		// NaN falls through exactly as it does there.
+		if found && !(u > uHi) {
+			if u < uLo {
+				continue
+			}
+			if !(def < defLo) {
+				if def > defHi {
+					continue
+				}
+				if !(en < enLo) && (en > enHi || !(now < nowLo)) {
+					continue
+				}
+			}
+		}
+		found = true
+		bestCode = code
+		uHi, uLo = u+eps, u-eps
+		defHi, defLo = def+eps, def-eps
+		enHi, enLo = en+eps, en-eps
+		nowLo = now - eps
+	}
+	if !found {
+		return nil, Eval{}, false
+	}
+	best := make([]Disposition, k)
+	for i := range best {
+		best[i] = Disposition(bestCode % nD)
+		bestCode /= nD
+	}
+	ev, _ := evaluate(best, opts, prof, env)
+	return best, ev, true
 }
 
 // hillClimb is the deterministic fallback past maxExhaustive: start from

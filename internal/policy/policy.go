@@ -13,12 +13,14 @@
 package policy
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"kodan/internal/app"
 	"kodan/internal/hw"
 	"kodan/internal/nn"
+	"kodan/internal/parallel"
 	"kodan/internal/tiling"
 	"kodan/internal/value"
 )
@@ -313,29 +315,45 @@ func DirectSelection(tp TilingProfile) Selection {
 // combinations) it falls back to deterministic hill climbing from the
 // all-specialized assignment.
 func Optimize(profiles []TilingProfile, env Env) (Selection, Estimate) {
+	return optimize(profiles, env, 0)
+}
+
+// optimize is Optimize with the tilings searched on up to workers
+// goroutines (0 means GOMAXPROCS). Each tiling's sweep runs whole on one
+// worker into its own slot, and the slots fold in profile order with
+// better — the fold a sequential loop makes, so the result does not
+// depend on workers. A single tiling's sweep is never split: better is
+// eps-based, so merging chunk-local winners is not provably that fold.
+func optimize(profiles []TilingProfile, env Env, workers int) (Selection, Estimate) {
 	if len(profiles) == 0 {
 		panic("policy: no tiling profiles")
 	}
 	env.UseEngine = true
-	var best Selection
-	var bestEst Estimate
-	first := true
-	for _, tp := range profiles {
-		sel, est := optimizeActions(tp, env)
-		if first || better(est, bestEst) {
-			best, bestEst = sel, est
-			first = false
+	sels := make([]Selection, len(profiles))
+	ests := make([]Estimate, len(profiles))
+	// The callback never fails and the context is never cancelled, so
+	// ForEach returns no error.
+	_ = parallel.ForEach(context.TODO(), parallel.Workers(workers), len(profiles), func(_ context.Context, i int) error {
+		sels[i], ests[i] = optimizeActions(profiles[i], env)
+		return nil
+	})
+	best := 0
+	for i := 1; i < len(profiles); i++ {
+		if better(ests[i], ests[best]) {
+			best = i
 		}
 	}
-	return best, bestEst
+	return sels[best], ests[best]
 }
 
 // optActions is the paper's selection-logic action set (Figure 7):
 // discard, downlink, or one of the specialized models (single-context or
 // multi-context). The generic model remains available to Evaluate for the
 // direct-deploy baseline but is dominated by the specialists at equal
-// cost, so the optimizer skips it.
-var optActions = []Action{Discard, Downlink, Specialized, Merged}
+// cost, so the optimizer skips it. Two of the actions run no model and
+// two run one at the same cost; optModel and optSlot record that split
+// for exhaustiveSearch's per-mask tables and change with this list.
+var optActions = [...]Action{Discard, Downlink, Specialized, Merged}
 
 // maxExhaustive bounds the exhaustive action sweep (4^8).
 const maxExhaustive = 65536
@@ -357,50 +375,204 @@ func optimizeActions(tp TilingProfile, env Env) (Selection, Estimate) {
 	return hillClimb(tp, env)
 }
 
+// exhaustiveSearch sweeps the first combos action assignments in odometer
+// order — digit 0 fastest, so code n gives context i the action
+// optActions[n/4^i%4] — and returns the fold ev.evaluate plus better
+// would make probe by probe: the first admissible assignment no later one
+// beats. Odometer order is the tie order.
+//
+// The odometer carries each probe's model mask and term offsets (see
+// maskTables). A probe skips an inadmissible mask before any summing,
+// otherwise drains its chunk terms and compares inline against the
+// running winner's DVD, recovery and frame time with better's eps and NaN
+// semantics. Only the winner's Estimate is built, through ev.evaluate.
 func exhaustiveSearch(tp TilingProfile, env Env, combos int) (Selection, Estimate) {
 	k := len(tp.Contexts)
 	ev := newEvaluator(tp, env)
-	sel := Selection{Tiling: tp.Tiling, Actions: make([]Action, k)}
-	best := Selection{Tiling: tp.Tiling, Actions: make([]Action, k)}
-	var bestEst Estimate
-	first := true
-	// Odometer enumeration, digit 0 fastest — the same order as decoding
-	// each code by repeated division, without the per-candidate div/mod.
-	digits := make([]int, k)
-	for i := range sel.Actions {
-		sel.Actions[i] = optActions[0]
+	mt := newMaskTables(ev, k)
+
+	capFrac, prevalence := env.CapacityFrac, ev.prevalence
+	recovery := func(val float64) float64 {
+		if prevalence == 0 {
+			return 0
+		}
+		return val / prevalence
 	}
+	const eps = 1e-12
+	found := false
+	bestCode := 0
+	var dvdHi, dvdLo, recHi, recLo float64
+	var bestFT time.Duration
+
+	// digit[c] is context c's odometer digit and off[c] its term offset.
+	// Every digit starts at Discard, which runs no model.
+	digit := make([]int, k)
+	off := make([]int, k)
+	for c := range off {
+		off[c] = mt.offset(c, 0)
+	}
+	mask := 0
 	for code := 0; code < combos; code++ {
 		if code > 0 {
 			for i := 0; ; i++ {
-				digits[i]++
-				if digits[i] < len(optActions) {
-					sel.Actions[i] = optActions[digits[i]]
+				d := digit[i] + 1
+				if d == len(optActions) {
+					d = 0
+				}
+				digit[i] = d
+				off[i] = mt.offset(i, d)
+				if optModel[d] {
+					mask |= 1 << i
+				} else {
+					mask &^= 1 << i
+				}
+				if d != 0 {
 					break
 				}
-				digits[i] = 0
-				sel.Actions[i] = optActions[0]
 			}
 		}
-		est := ev.evaluate(sel.Actions)
-		if !env.admissible(est.FrameTime) && !isAllElide(sel) {
+		if !mt.ok[mask] {
 			continue
 		}
-		if first || better(est, bestEst) {
-			copy(best.Actions, sel.Actions)
-			bestEst = est
-			first = false
+		val := 0.0 // no capacity downlinks nothing
+		if !(capFrac <= 0) {
+			val = mt.drained(mask, off)
+		}
+		dvd := 0.0
+		if capFrac != 0 {
+			dvd = val / capFrac
+		}
+		// better(probe, winner), written with negated comparisons so NaN
+		// falls through exactly as it does there.
+		if found && !(dvd > dvdHi) {
+			if dvd < dvdLo {
+				continue
+			}
+			if rec := recovery(val); !(rec > recHi) && (rec < recLo || mt.ft[mask] >= bestFT) {
+				continue
+			}
+		}
+		found = true
+		bestCode = code
+		dvdHi, dvdLo = dvd+eps, dvd-eps
+		rec := recovery(val)
+		recHi, recLo = rec+eps, rec-eps
+		bestFT = mt.ft[mask]
+	}
+
+	// Code 0, all-Discard, is admissible whatever the cap, so it is also
+	// the answer of a sweep too short to visit any code.
+	best := Selection{Tiling: tp.Tiling, Actions: make([]Action, k)}
+	for i := range best.Actions {
+		best.Actions[i] = optActions[bestCode%len(optActions)]
+		bestCode /= len(optActions)
+	}
+	return best, ev.evaluate(best.Actions)
+}
+
+// optModel[d] reports whether optActions[d] runs a model, and optSlot[d]
+// numbers it among the optActions that share that bit.
+var (
+	optModel = [len(optActions)]bool{false, false, true, true}
+	optSlot  = [len(optActions)]int{0, 1, 0, 1}
+)
+
+// optSlots is the number of optActions per model bit.
+const optSlots = 2
+
+// maskTables holds everything a probe of the exhaustive sweep needs that
+// its model mask fixes (bit c set when context c runs a model).
+// Specialized and Merged add the same msAdd, and Discard and Downlink add
+// an exact zero, so frame time depends only on the mask; so do the
+// processed fraction p, admissibility and the FillIdle chunk. Each
+// context's chunk under each action its mask bit allows is tabulated with
+// the evaluator's expressions, so a probe only sums table entries.
+type maskTables struct {
+	// ft[mask] is the frame time and ok[mask] is admissible(ft) ||
+	// mask == 0 (full elision is always admissible).
+	ft []time.Duration
+	ok []bool
+	// fill[2*mask] and fill[2*mask+1] are the FillIdle chunk's bits and
+	// value, zero when the environment adds none.
+	fill []float64
+	// terms[mask*row+offset(c, d)] and the entry after it are context c's
+	// chunk bits and value under optActions[d], zero for a dead model or
+	// Discard.
+	terms   []float64
+	row     int
+	capFrac float64
+}
+
+// newMaskTables tabulates every model mask of k contexts.
+func newMaskTables(ev *evaluator, k int) *maskTables {
+	nMask := 1 << k
+	mt := &maskTables{
+		ft:      make([]time.Duration, nMask),
+		ok:      make([]bool, nMask),
+		fill:    make([]float64, 2*nMask),
+		row:     k * optSlots * 2,
+		capFrac: ev.env.CapacityFrac,
+	}
+	mt.terms = make([]float64, nMask*mt.row)
+	for mask := 0; mask < nMask; mask++ {
+		ms := ev.baseMs
+		for c := 0; c < k; c++ {
+			if mask>>c&1 != 0 {
+				// Every model action carries the same addend.
+				ms += ev.msAdd[c*actionStride+int(Specialized)]
+			}
+		}
+		ft := time.Duration(ms * float64(time.Millisecond))
+		mt.ft[mask] = ft
+		mt.ok[mask] = mask == 0 || ev.env.admissible(ft)
+		p := 1.0
+		if ft > ev.env.Deadline && ft > 0 {
+			p = float64(ev.env.Deadline) / float64(ft)
+		}
+		for c := 0; c < k; c++ {
+			for d, a := range optActions {
+				idx := c*actionStride + int(a)
+				if optModel[d] != (mask>>c&1 != 0) || !ev.counted[idx] {
+					continue
+				}
+				pf := p * ev.tf[c]
+				j := mask*mt.row + mt.offset(c, d)
+				mt.terms[j] = pf * ev.kept[idx]
+				mt.terms[j+1] = pf * ev.frac[idx]
+			}
+		}
+		if ev.env.FillIdle && p < 1 {
+			mt.fill[2*mask] = 1 - p
+			mt.fill[2*mask+1] = (1 - p) * ev.prevalence
 		}
 	}
-	if first {
-		// No admissible combination (cap tighter than even full elision):
-		// fall back to all-discard, which has no model cost.
-		for i := range best.Actions {
-			best.Actions[i] = Discard
-		}
-		bestEst = ev.evaluate(best.Actions)
+	return mt
+}
+
+// offset locates context c's terms under optActions[d] within a row.
+func (mt *maskTables) offset(c, d int) int {
+	return (c*optSlots + optSlot[d]) * 2
+}
+
+// drained returns the high-value bits that reach the ground for a probe
+// with the given mask and per-context term offsets: its chunks summed in
+// context order and drained into the capacity, as ev.evaluate computes
+// Ledger.HighValueBits when the capacity is not <= 0. Where the evaluator
+// skips a chunk the table adds an exact zero, which can change only the
+// sign of a zero sum; no comparison sees that sign.
+func (mt *maskTables) drained(mask int, off []int) float64 {
+	t := mt.terms[mask*mt.row:]
+	var bits, val float64
+	for _, j := range off {
+		bits += t[j]
+		val += t[j+1]
 	}
-	return best, bestEst
+	bits += mt.fill[2*mask]
+	val += mt.fill[2*mask+1]
+	if bits > mt.capFrac {
+		val *= mt.capFrac / bits
+	}
+	return val
 }
 
 // isAllElide reports whether a selection runs no models at all (always
@@ -577,14 +749,16 @@ func (e *evaluator) evaluate(actions []Action) Estimate {
 		if !e.counted[idx] {
 			continue
 		}
+		// Each product is rounded before it is summed, as the chunk
+		// values of EvaluateAtTime are, so no platform fuses the two.
 		pf := p * e.tf[c]
-		totalBits += pf * e.kept[idx]
-		totalVal += pf * e.frac[idx]
+		totalBits += float64(pf * e.kept[idx])
+		totalVal += float64(pf * e.frac[idx])
 		chunks++
 	}
 	if e.env.FillIdle && p < 1 {
 		totalBits += 1 - p
-		totalVal += (1 - p) * e.prevalence
+		totalVal += float64((1 - p) * e.prevalence)
 		chunks++
 	}
 	bits, val := totalBits, totalVal

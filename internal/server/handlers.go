@@ -32,7 +32,8 @@ type planRequest struct {
 	Target string `json:"target"`
 	// DeadlineMs and CapacityFrac pin the deployment environment. When
 	// either is zero the server fills both from the reference Landsat 8
-	// mission (one day, one satellite).
+	// mission (one day, one satellite). DeadlineMs is at most
+	// maxDeadlineMs; neither may be negative.
 	DeadlineMs   float64 `json:"deadlineMs"`
 	CapacityFrac float64 `json:"capacityFrac"`
 	// NoFill disables padding an under-filled link with raw frames
@@ -43,7 +44,8 @@ type planRequest struct {
 	// it; float and quantized artifacts are cached independently).
 	Quantized bool `json:"quantized"`
 	// TimeoutMs caps this request's processing time below the server's
-	// ceiling.
+	// ceiling (0 means the ceiling; larger values are capped to it). It
+	// may not be negative or overflow a time.Duration.
 	TimeoutMs int `json:"timeoutMs"`
 	// Mode selects the /v1/plan artifact: "" or "bundle" returns the
 	// deployment bundle; "hybrid" runs the space-ground execution planner
@@ -65,12 +67,33 @@ type planRequest struct {
 // maxSimSats = 448 satellite-days of orbital simulation (about 9 s on a
 // 2-core x86 host, far below the default 120 s request timeout);
 // maxSimSats covers the paper's constellation ladder (Figure 2 sweeps up
-// to 56 satellites). Request bodies are small JSON documents.
+// to 56 satellites). Request bodies are small JSON documents. A frame
+// deadline is one frame period of the orbit (about 24 s for Landsat 8),
+// so maxDeadlineMs, one day, leaves wide room while keeping the deadline
+// far from time.Duration overflow. maxTimeoutMs is the largest timeout a
+// time.Duration holds.
 const (
 	maxSimDays      = 7
 	maxSimSats      = 64
 	maxRequestBytes = 64 << 10
+	maxDeadlineMs   = 24 * 60 * 60 * 1000
+	maxTimeoutMs    = int64(math.MaxInt64 / time.Millisecond)
 )
+
+// validate rejects the planRequest fields every route reads or passes on
+// when they are out of range: a negative or overflowing timeoutMs, a
+// negative or overlong deadlineMs, and a negative capacityFrac.
+func (req planRequest) validate() error {
+	switch {
+	case req.TimeoutMs < 0 || int64(req.TimeoutMs) > maxTimeoutMs:
+		return fmt.Errorf("timeoutMs must be 0..%d, got %d", maxTimeoutMs, req.TimeoutMs)
+	case req.DeadlineMs < 0 || req.DeadlineMs > maxDeadlineMs:
+		return fmt.Errorf("deadlineMs must be 0..%d, got %v", maxDeadlineMs, req.DeadlineMs)
+	case req.CapacityFrac < 0:
+		return fmt.Errorf("capacityFrac must be >= 0, got %v", req.CapacityFrac)
+	}
+	return nil
+}
 
 // simulateRequest is the /v1/simulate request body.
 type simulateRequest struct {
@@ -432,6 +455,10 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("app must be 1..%d", len(kodan.Applications())))
 		return
 	}
+	if err := req.validate(); err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	ctx, cancel := s.requestContext(r, req)
 	defer cancel()
 
@@ -464,6 +491,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.App < 1 || req.App > len(kodan.Applications()) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("app must be 1..%d", len(kodan.Applications())))
+		return
+	}
+	if err := req.validate(); err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	target, err := parseTarget(req.Target)
@@ -685,6 +716,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.App < 1 || req.App > len(kodan.Applications()) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("app must be 1..%d", len(kodan.Applications())))
+		return
+	}
+	if err := req.validate(); err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	target, err := parseTarget(req.Target)

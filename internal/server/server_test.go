@@ -486,6 +486,16 @@ func TestRequestBounds(t *testing.T) {
 		{"sats past bound", "/v1/simulate", fmt.Sprintf(`{"app":1,"target":"orin","sats":%d}`, maxSimSats+1), http.StatusBadRequest},
 		{"negative sats", "/v1/simulate", `{"app":1,"target":"orin","sats":-3}`, http.StatusBadRequest},
 		{"days on plan", "/v1/plan", `{"app":1,"target":"orin","days":200000}`, http.StatusBadRequest},
+		{"deadline overflow", "/v1/plan", `{"app":1,"target":"orin","deadlineMs":1e13}`, http.StatusBadRequest},
+		{"deadline past bound", "/v1/plan", fmt.Sprintf(`{"app":1,"target":"orin","deadlineMs":%d}`, maxDeadlineMs+1), http.StatusBadRequest},
+		{"negative deadline", "/v1/plan", `{"app":1,"target":"orin","deadlineMs":-24000}`, http.StatusBadRequest},
+		{"hybrid deadline overflow", "/v1/plan", `{"app":1,"target":"orin","mode":"hybrid","deadlineMs":1e13}`, http.StatusBadRequest},
+		{"negative capacity", "/v1/plan", `{"app":1,"target":"orin","capacityFrac":-0.21}`, http.StatusBadRequest},
+		{"timeout overflow", "/v1/plan", `{"app":1,"target":"orin","timeoutMs":10000000000000}`, http.StatusBadRequest},
+		{"negative timeout", "/v1/plan", `{"app":1,"target":"orin","timeoutMs":-1}`, http.StatusBadRequest},
+		{"transform timeout overflow", "/v1/transform", `{"app":1,"timeoutMs":10000000000000}`, http.StatusBadRequest},
+		{"simulate timeout overflow", "/v1/simulate", `{"app":1,"target":"orin","timeoutMs":10000000000000}`, http.StatusBadRequest},
+		{"simulate negative capacity", "/v1/simulate", `{"app":1,"target":"orin","capacityFrac":-1}`, http.StatusBadRequest},
 		{"oversized simulate", "/v1/simulate", huge, http.StatusRequestEntityTooLarge},
 		{"oversized plan", "/v1/plan", huge, http.StatusRequestEntityTooLarge},
 		{"oversized transform", "/v1/transform", huge, http.StatusRequestEntityTooLarge},
@@ -497,6 +507,13 @@ func TestRequestBounds(t *testing.T) {
 	}
 	if s.httpSrv.ReadHeaderTimeout <= 0 {
 		t.Error("http.Server has no ReadHeaderTimeout")
+	}
+	// The largest accepted timeout is silently capped at Config.Timeout.
+	r := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
+	ctx, cancel := s.requestContext(r, planRequest{TimeoutMs: int(maxTimeoutMs)})
+	defer cancel()
+	if dl, ok := ctx.Deadline(); !ok || time.Until(dl) <= 0 || time.Until(dl) > s.cfg.Timeout {
+		t.Errorf("timeoutMs %d: deadline in %v, want within Config.Timeout %v", maxTimeoutMs, time.Until(dl), s.cfg.Timeout)
 	}
 	if n := s.metrics.transformsStarted.Load(); n != 0 {
 		t.Errorf("rejected requests started %d transforms", n)

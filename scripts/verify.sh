@@ -59,6 +59,10 @@ echo "    total coverage ${total}% (threshold ${threshold}%)"
 echo "==> go test -fuzz smoke (nn)"
 go test ./internal/nn -run '^$' -fuzz '^FuzzPredict$' -fuzztime 10s > /dev/null
 go test ./internal/nn -run '^$' -fuzz '^FuzzQuantize$' -fuzztime 10s > /dev/null
+# The planning searches must equal their reference sweeps bit for bit.
+echo "==> go test -fuzz smoke (policy/planner search)"
+go test ./internal/policy -run '^$' -fuzz '^FuzzOptimize$' -fuzztime 10s > /dev/null
+go test ./internal/planner -run '^$' -fuzz '^FuzzDecide$' -fuzztime 10s > /dev/null
 
 # Trace-analysis smoke: record span traces of the same short mission at
 # two worker counts, run every kodan-trace subcommand over them, and
